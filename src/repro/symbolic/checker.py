@@ -9,6 +9,11 @@ the pre-image operator:
 * marking reachability and place-invariant style assertions,
 * mutual-exclusion checks over sets of places,
 * the CTL-lite fixpoints ``EF`` (backward reachability) and ``AG``.
+
+``EF`` runs a chained backward sweep: pre-images are taken one
+transition at a time in support-sorted order, each feeding the next,
+the mirror of the forward ``chaining`` traversal that ``analyze()``
+runs by default.
 """
 
 from __future__ import annotations
@@ -42,7 +47,9 @@ class ModelChecker:
                  use_toggle: bool = False) -> None:
         self.symnet = symnet
         if reachable is None:
-            reachable = traverse(symnet, use_toggle=use_toggle).reachable
+            reachable = traverse(symnet, use_toggle=use_toggle,
+                                 strategy="chaining",
+                                 chain_order="support").reachable
         self.reachable = reachable
 
     # -- helpers -----------------------------------------------------------
@@ -104,30 +111,44 @@ class ModelChecker:
         The result is intersected with the reachable set, i.e. this is
         ``reachable AND EF(target)``.
 
-        The fixpoint is frontier-based: ``preimage_all`` distributes
-        over union (per-transition preimages are cofactor-and-constrain,
-        both union homomorphisms), so each round only preimages the
-        states added in the previous round instead of the whole
-        accumulated set.  The frontier subtraction is an AND plus a
-        complement-bit flip, and — as in the forward relational engines
-        — the frontier is narrowed against ``frontier | ~current``
-        (Coudert-Madre restrict) before preimaging: any states it picks
-        up are already in ``current``, so their preimages are members
-        of the fixpoint and at worst arrive a round early.
+        The fixpoint is a chained backward sweep, the mirror of the
+        forward ``chaining`` traversal: each sweep visits the
+        transitions in support-sorted order (taken at the variable
+        order when the query starts) and adds every transition's new
+        predecessors to the working set before the next transition
+        preimages it, so predecessor chains that follow the sweep order
+        close within one sweep.  The states a sweep adds form the next
+        sweep's frontier.  The fixpoint is unchanged because
+        ``preimage`` distributes over union: every state added is a
+        predecessor of a state already in ``current``, and a sweep that
+        adds nothing means ``current`` is closed under every
+        transition's preimage.  The frontier is narrowed against
+        ``frontier | ~current`` (Coudert-Madre restrict) before each
+        sweep: any states it picks up are already in ``current``, so
+        their preimages are members of the fixpoint and at worst arrive
+        a sweep early.
         """
         from .relational import SIMPLIFY_MIN_FRONTIER_NODES
 
-        current = target & self.reachable
+        symnet = self.symnet
+        reachable = self.reachable
+        order = symnet.support_sorted_transitions()
+        current = target & reachable
         frontier = current
         while not frontier.is_zero():
-            if frontier.size() >= SIMPLIFY_MIN_FRONTIER_NODES:
-                frontier = frontier.restrict(frontier | ~current)
-            frontier = (self.symnet.preimage_all(frontier)
-                        & self.reachable) - current
-            current = current | frontier
-            if current == self.reachable:
+            work = frontier
+            if work.size() >= SIMPLIFY_MIN_FRONTIER_NODES:
+                work = work.restrict(work | ~current)
+            frontier = false(symnet.bdd)
+            for transition in order:
+                pre = (symnet.preimage(work, transition)
+                       & reachable) - current
+                current = current | pre
+                work = work | pre
+                frontier = frontier | pre
+            if current == reachable:
                 # Canonicity makes the saturation test one edge compare;
-                # it skips the final (largest-frontier) preimage round.
+                # it skips the final (largest-frontier) sweep.
                 return current
         return current
 

@@ -1,11 +1,15 @@
 """Unit tests for the symbolic model checker."""
 
+from collections import deque
+
 import pytest
 
+from repro.analysis import Analysis, AnalysisSpec
 from repro.encoding import ImprovedEncoding, SparseEncoding
-from repro.petri import Marking
-from repro.petri.generators import (dme_spec, figure1_net, figure4_net,
-                                    muller, slotted_ring)
+from repro.petri import Marking, ReachabilityGraph
+from repro.petri.generators import (dme_circuit, dme_spec, figure1_net,
+                                    figure4_net, jj_register, muller,
+                                    philosophers, slotted_ring)
 from repro.symbolic import ModelChecker, SymbolicNet
 
 
@@ -128,3 +132,156 @@ class TestPrecomputedReachable:
         reached = traverse(symnet).reachable
         checker = ModelChecker(symnet, reachable=reached)
         assert checker.marking_count() == 40
+
+    def test_checker_without_reachable_matches_bfs(self):
+        """Built without a reachable set, the checker traverses with the
+        default chained support-order schedule; the set is canonical,
+        so it is the same BDD edge the BFS schedule yields."""
+        from repro.symbolic import traverse
+        symnet = SymbolicNet(ImprovedEncoding(muller(4)))
+        checker = ModelChecker(symnet)
+        assert checker.reachable == traverse(symnet).reachable
+
+
+# ---------------------------------------------------------------------------
+# Differential oracle: EF / AG / AG EF against a backward search on the
+# explicit reachability graph, compared as marking sets.
+
+ORACLE_NETS = {
+    "figure1": figure1_net,
+    "figure4": figure4_net,
+    "phil3": lambda: philosophers(3),
+    "slot2": lambda: slotted_ring(2),
+    "muller3": lambda: muller(3),
+    "dme2": lambda: dme_spec(2),
+    "dmecir2": lambda: dme_circuit(2, wire_depth=1),
+    "jjreg-a2": lambda: jj_register("a", bits=2),
+}
+LARGE_ORACLE_NETS = {
+    "phil6": lambda: philosophers(6),
+    "muller7": lambda: muller(7),
+    "dmespec4": lambda: dme_spec(4),
+}
+
+
+def predecessor_lists(graph):
+    predecessors = [[] for _ in graph.markings]
+    for src, _, dst in graph.edges:
+        predecessors[dst].append(src)
+    return predecessors
+
+
+def backward_depths(predecessors, targets):
+    """Shortest distance to ``targets`` of every graph marking that can
+    reach them, by index (explicit EF, with BFS depths)."""
+    depth = dict.fromkeys(targets, 0)
+    queue = deque(depth)
+    while queue:
+        node = queue.popleft()
+        for pred in predecessors[node]:
+            if pred not in depth:
+                depth[pred] = depth[node] + 1
+                queue.append(pred)
+    return depth
+
+
+def backward_closure(predecessors, targets):
+    return set(backward_depths(predecessors, targets))
+
+
+class _Oracle:
+    """A net's explicit graph next to a checker over the default
+    ``Analysis`` path (improved encoding, toggle images, sifting on)."""
+
+    def __init__(self, net):
+        self.graph = ReachabilityGraph(net, max_markings=200_000)
+        self.predecessors = predecessor_lists(self.graph)
+        self.everything = set(range(len(self.graph.markings)))
+        self.checker = Analysis(net, AnalysisSpec()).checker()
+        self.symnet = self.checker.symnet
+
+    def supports(self, indices):
+        return {self.graph.markings[i].support for i in indices}
+
+    def decoded(self, states):
+        return {m.support for m in self.symnet.markings_of(states)}
+
+    def indices_where(self, holds):
+        return {i for i, m in enumerate(self.graph.markings) if holds(m)}
+
+    def targets(self):
+        """(label, symbolic predicate, explicit index set) triples: the
+        initial marking, the deadlocks and a spread of single places."""
+        dead = {self.graph.index[m] for m in self.graph.deadlocks()}
+        yield "initial", self.symnet.initial, {0}
+        yield "deadlock", self.symnet.deadlock_condition(), dead
+        places = sorted(self.symnet.places)
+        for place in places[::max(1, len(places) // 4)]:
+            yield (place, self.symnet.places[place],
+                   self.indices_where(lambda m, p=place: m[p] > 0))
+
+
+def check_against_oracle(net):
+    oracle = _Oracle(net)
+    checker = oracle.checker
+    for label, predicate, explicit in oracle.targets():
+        can_reach = backward_closure(oracle.predecessors, explicit)
+        assert oracle.decoded(checker.ef(predicate)) == \
+            oracle.supports(can_reach), ("EF", label)
+        # AG p is the complement of EF(not p) within the reachable set.
+        invariant = oracle.everything - backward_closure(
+            oracle.predecessors, oracle.everything - explicit)
+        assert oracle.decoded(checker.ag(predicate)) == \
+            oracle.supports(invariant), ("AG", label)
+        assert oracle.decoded(checker.ag(~predicate)) == \
+            oracle.supports(oracle.everything - can_reach), ("AG not", label)
+
+    home = backward_closure(oracle.predecessors, {0})
+    report = checker.can_always_recover(oracle.symnet.initial)
+    assert report.holds == (home == oracle.everything)
+    if report.holds:
+        assert report.witness is None
+    else:
+        # The witness is reachable and really cannot get back to m0.
+        assert report.witness in oracle.graph
+        assert oracle.graph.index[report.witness] not in home
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_NETS))
+def test_checker_matches_explicit_oracle(name):
+    check_against_oracle(ORACLE_NETS[name]())
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", sorted(LARGE_ORACLE_NETS))
+def test_checker_matches_explicit_oracle_large(name):
+    check_against_oracle(LARGE_ORACLE_NETS[name]())
+
+
+def test_home_query_preimage_calls_beat_bfs(monkeypatch):
+    """Tripwire for the chained backward sweep.
+
+    A synchronous BFS backward fixpoint preimages every transition once
+    per round, i.e. ``|T| x depth`` calls, where ``depth`` is the
+    longest shortest path back to m0 (46 rounds x 28 transitions = 1288
+    on muller-7).  The chained sweep closes predecessor chains within a
+    sweep and needs far fewer; at most half of the BFS figure is
+    asserted.
+    """
+    net = muller(7)
+    graph = ReachabilityGraph(net)
+    depth = backward_depths(predecessor_lists(graph), [0])
+    assert len(depth) == len(graph)
+    bfs_calls = len(net.transitions) * max(depth.values())
+
+    checker = ModelChecker(SymbolicNet(ImprovedEncoding(net)))
+    calls = []
+    preimage = SymbolicNet.preimage
+
+    def counting(self, states, transition):
+        calls.append(transition)
+        return preimage(self, states, transition)
+
+    monkeypatch.setattr(SymbolicNet, "preimage", counting)
+    assert checker.can_always_recover(checker.symnet.initial)
+    assert 0 < len(calls) <= bfs_calls // 2, (len(calls), bfs_calls)
