@@ -23,7 +23,7 @@ enabled``).  This benchmark times exactly those paths:
 before complement edges) on the reference box; ``peak_live_nodes`` and
 ``markings`` are structural, so their ratios are machine-independent
 evidence, while the ``*_seconds`` ratios are honest only against the
-same box (recorded alongside ``cpus`` like the parallel grid).
+same box (the report records ``cpus``).
 Results merge into ``BENCH_relprod.json`` under ``"negation"``::
 
     PYTHONPATH=src python benchmarks/bench_negation.py

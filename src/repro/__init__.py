@@ -19,6 +19,8 @@ Layer map (see DESIGN.md for the full inventory):
 * :mod:`repro.analysis` — the unified ``analyze(net, spec)`` facade
   every entry point (CLI, experiments, examples) routes through.
 * :mod:`repro.experiments` — Table 3 / Table 4 / Figure 2 harnesses.
+* :mod:`repro.workers` — the process primitives the portfolio race and
+  the analysis service's worker pool share.
 """
 
 from .analysis import (Analysis, AnalysisResult, AnalysisSpec, SpecError,

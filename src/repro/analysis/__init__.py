@@ -39,8 +39,9 @@ from .backends import (BACKENDS, BddFunctionalBackend,
 from .checkpoint import (CheckpointData, CheckpointError, CheckpointStore,
                          net_fingerprint, spec_fingerprint)
 from .facade import Analysis, analyze
+from ..workers import WorkerHarness
 from .portfolio import (MemberFailure, PortfolioBackend, PortfolioError,
-                        WorkerHarness, member_checkpoint_path, member_spec)
+                        member_checkpoint_path, member_spec)
 from .result import SCHEMA_MINOR, SCHEMA_VERSION, AnalysisResult
 from .spec import (BACKEND_FAMILIES, CHAIN_ORDERS, DEFAULT_CLUSTER_SIZE,
                    DEFAULT_FORM, DEFAULT_PORTFOLIO_MEMBERS,

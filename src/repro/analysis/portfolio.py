@@ -29,17 +29,17 @@ The race is robust by construction:
   being written off.  Retry events are surfaced in the race telemetry
   (``extras["portfolio"]["retries"]``).
 * **Graceful degradation** — when the platform rules out worker
-  processes (no usable start method, semaphores unavailable, spawn
-  failures), the race falls back to running members serially in
+  processes (a daemonic parent, no usable start method, semaphores
+  unavailable, spawn failures), the race falls back to running members serially in
   process, first success wins (timeouts are unenforceable there and
   are reported as such).
 * **No orphans** — every spawned worker is terminated and joined
   before the race returns, winner found or not.
 
 Everything the race does to processes goes through an injectable
-:class:`WorkerHarness`, so the fault-injection suite can simulate
-hangs, crashes and poisoned queues deterministically on a virtual
-clock (``tests/analysis/test_portfolio_faults.py``).
+:class:`~repro.workers.WorkerHarness`, so the fault-injection suite
+can simulate hangs, crashes and poisoned queues deterministically on a
+virtual clock (``tests/analysis/test_portfolio_faults.py``).
 
 The winning member's result is returned with portfolio extras::
 
@@ -65,6 +65,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..petri.net import PetriNet
 from ..petri.parser import dumps, loads
+from ..workers import (DEAD_WORKER_GRACE_POLLS, MAX_QUEUE_POISON,
+                       WorkerHarness, reap_processes)
 from .backends import BACKENDS, SolverBackend, SolverSession, backend_for
 from .result import AnalysisResult
 from .spec import (DEFAULT_PORTFOLIO_MEMBERS, PORTFOLIO_MEMBERS,
@@ -72,22 +74,9 @@ from .spec import (DEFAULT_PORTFOLIO_MEMBERS, PORTFOLIO_MEMBERS,
 
 __all__ = [
     "PortfolioBackend", "PortfolioError", "MemberFailure",
-    "WorkerHarness", "member_spec", "member_checkpoint_path",
+    "member_spec", "member_checkpoint_path",
 ]
 
-# How long the parent sleeps on the queue per loop pass: bounds the
-# latency of crash/deadline detection, not of verdict delivery (a
-# verdict wakes the ``get`` immediately).
-POLL_INTERVAL = 0.1
-# A dead worker gets this many further queue polls before it is
-# declared crashed, so a verdict it flushed on the way out is not
-# misread as a crash.
-DEAD_WORKER_GRACE_POLLS = 2
-# Unreadable/malformed queue payloads tolerated before the race
-# concludes the queue itself is unusable.
-MAX_QUEUE_POISON = 3
-# Seconds to wait for a terminated loser before escalating to kill().
-JOIN_TIMEOUT = 2.0
 # When the portfolio checkpoints (``spec.checkpoint_path``), a member
 # that crashes or times out while holding a checkpoint is restarted
 # from it — at most this many times, with a linear backoff per attempt.
@@ -180,15 +169,6 @@ def member_spec(spec: AnalysisSpec, member: str) -> AnalysisSpec:
     if member in ("bdd-chained", "bdd-partitioned", "bdd-monolithic"):
         return AnalysisSpec(form="relational",
                             engine=member.split("-", 1)[1], **bdd)
-    if member == "bdd-partitioned-mp":
-        # The member itself runs in a daemonic worker process, which
-        # cannot spawn children — its pool degrades to the serial
-        # partitioned sweep there (recorded in extras["parallel"]).
-        # Running it standalone (or in the portfolio's serial degraded
-        # mode) does use worker processes, sized by the portfolio's
-        # workers setting.
-        return AnalysisSpec(form="relational", engine="partitioned-mp",
-                            workers=spec.workers, **bdd)
     if member == "zdd-chained":
         return AnalysisSpec(backend="zdd", form="relational",
                             engine="chained", **shared)
@@ -230,76 +210,6 @@ def _worker_main(member: str, net_text: str, spec_values: Dict[str, Any],
                 ("error", member, f"{type(exc).__name__}: {exc}"))
         except Exception:
             pass  # unreportable: the parent sees a silent exit
-
-
-# ----------------------------------------------------------------------
-# The harness seam
-# ----------------------------------------------------------------------
-
-class WorkerHarness:
-    """The process primitives the race runs on — the injection seam.
-
-    The default implementation spawns real daemonic
-    ``multiprocessing`` processes; the fault-injection tests substitute
-    fakes driven by a virtual clock.  A replacement must provide:
-
-    * :meth:`available` — whether worker processes can run at all.
-    * :meth:`create_queue` — a queue whose ``get(timeout=...)`` raises
-      ``queue.Empty`` on timeout (any other exception is treated as a
-      poisoned payload).
-    * :meth:`spawn` — start ``target(*args)`` for ``member`` and return
-      a process-like handle (``is_alive()``, ``exitcode``,
-      ``terminate()``, ``kill()``, ``join(timeout)``).
-    * :meth:`now` — the race's clock (monotonic seconds).
-    """
-
-    def __init__(self, start_method: Optional[str] = None) -> None:
-        self.start_method = start_method
-        self._ctx = None
-
-    def _context(self):
-        if self._ctx is None:
-            import multiprocessing
-            self._ctx = (multiprocessing.get_context(self.start_method)
-                         if self.start_method
-                         else multiprocessing.get_context())
-        return self._ctx
-
-    def available(self) -> bool:
-        """Whether this platform can run the worker-process race.
-
-        Sandboxed environments commonly refuse the semaphores a
-        ``multiprocessing.Queue`` needs; probing here is what lets the
-        race degrade to serial instead of crashing mid-build.
-        """
-        try:
-            probe = self._context().Queue()
-        except Exception:
-            return False
-        # Release the probe's feeder thread; some platforms leak it
-        # otherwise.
-        try:
-            probe.close()
-            probe.join_thread()
-        except Exception:
-            pass
-        return True
-
-    def create_queue(self):
-        return self._context().Queue()
-
-    def spawn(self, member: str, target, args):
-        process = self._context().Process(
-            target=target, args=args, name=f"portfolio-{member}",
-            daemon=True)
-        process.start()
-        return process
-
-    def now(self) -> float:
-        return time.monotonic()
-
-    def poll_interval(self) -> float:
-        return POLL_INTERVAL
 
 
 # ----------------------------------------------------------------------
@@ -372,7 +282,12 @@ class _Race:
             self._drive(result_queue, states, start)
             self._classify_unresolved(states)
         finally:
-            self._reap(states)
+            # Every worker is terminated and joined, losers included.
+            # Handles discarded by checkpoint-resume retries too: the
+            # replaced attempt was terminated when its retry was
+            # scheduled, but it still needs joining here.
+            reap_processes([s.handle for s in states.values()
+                            if s.handle is not None] + self._discarded)
         self.seconds = self.harness.now() - start
         self.outcomes = [
             {"member": s.member, "outcome": s.outcome or "cancelled",
@@ -606,30 +521,6 @@ class _Race:
             else:
                 state.resolve("cancelled", now)
 
-    def _reap(self, states: Dict[str, _MemberState]) -> None:
-        """Terminate and join every worker — losers included, always.
-
-        Handles discarded by checkpoint-resume retries are reaped too:
-        the replaced attempt was terminated when its retry was
-        scheduled, but it still needs joining here.
-        """
-        handles = [s.handle for s in states.values()
-                   if s.handle is not None] + self._discarded
-        for handle in handles:
-            try:
-                if handle.is_alive():
-                    handle.terminate()
-            except Exception:
-                pass
-        for handle in handles:
-            try:
-                handle.join(JOIN_TIMEOUT)
-                if handle.is_alive():
-                    handle.kill()
-                    handle.join(JOIN_TIMEOUT)
-            except Exception:
-                pass
-
     # -- serial degraded mode ------------------------------------------
 
     def _run_serial(self) -> None:
@@ -743,9 +634,9 @@ class _PortfolioSession(SolverSession):
 class PortfolioBackend(SolverBackend):
     """Race the member configurations; the first verdict answers.
 
-    ``harness`` (keyword) injects the :class:`WorkerHarness` the race
-    runs on — the fault-injection seam; ``None`` spawns real worker
-    processes.
+    ``harness`` (keyword) injects the
+    :class:`~repro.workers.WorkerHarness` the race runs on — the
+    fault-injection seam; ``None`` spawns real worker processes.
     """
 
     name = "portfolio"

@@ -10,18 +10,17 @@ cross the process boundary as canonical ``.pnet`` text, specs as
 ``AnalysisSpec.to_dict()`` payloads, results as
 ``AnalysisResult.to_dict()`` dicts.
 
-The failure discipline is PR 8's, verbatim:
+The failure discipline:
 
 * a worker that raises *inside* a request reports a structured
   ``("error", ...)`` reply and stays alive for the next request;
 * a worker that dies (SIGKILL, BDD kernel abort) is detected by the
-  poll loop after :data:`~repro.symbolic.parallel.
-  DEAD_WORKER_GRACE_POLLS` empty polls — its queued reply may still be
-  buffered — and is respawned with a **fresh task queue** (a dead
-  worker's undrained tasks must not leak into its replacement), its
-  pending requests resubmitted;
-* after :data:`~repro.symbolic.parallel.MAX_RESPAWNS` respawns the slot
-  is retired and its pending requests are redistributed over the
+  poll loop after :data:`~repro.workers.DEAD_WORKER_GRACE_POLLS` empty
+  polls — its queued reply may still be buffered — and is respawned
+  with a **fresh task queue** (a dead worker's undrained tasks must
+  not leak into its replacement), its pending requests resubmitted;
+* after :data:`~repro.workers.MAX_RESPAWNS` respawns the slot is
+  retired and its pending requests are redistributed over the
   surviving workers;
 * when no workers survive (or none could ever spawn — daemonic parent,
   sandbox without semaphores) the pool reports
@@ -31,7 +30,7 @@ The failure discipline is PR 8's, verbatim:
   in-process.
 
 Shutdown is polite-then-forceful via
-:func:`~repro.symbolic.parallel.reap_processes`, with a
+:func:`~repro.workers.reap_processes`, with a
 ``weakref.finalize`` safety net so a leaked pool cannot strand
 processes.
 """
@@ -43,9 +42,9 @@ import queue
 import weakref
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..symbolic.parallel import (DEAD_WORKER_GRACE_POLLS, MAX_QUEUE_POISON,
-                                 MAX_RESPAWNS, SweepHarness, reap_processes,
-                                 resolve_workers)
+from ..workers import (DEAD_WORKER_GRACE_POLLS, MAX_QUEUE_POISON,
+                       MAX_RESPAWNS, WorkerHarness, reap_processes,
+                       resolve_workers)
 
 __all__ = ["AnalysisWorkerPool", "PoolEvent"]
 
@@ -143,17 +142,16 @@ class AnalysisWorkerPool:
         caller solves serially — the deterministic mode the benchmarks
         use).
     harness:
-        Process-primitive seam (:class:`~repro.symbolic.parallel.
-        SweepHarness`); tests inject fakes or force the serial
-        degradation here.
+        Process-primitive seam (:class:`~repro.workers.WorkerHarness`);
+        tests inject fakes or force the serial degradation here.
 
     The pool is lazy: processes spawn on the first :meth:`submit`.
     """
 
     def __init__(self, workers: "int | str" = "auto",
-                 harness: Optional[SweepHarness] = None) -> None:
+                 harness: Optional[WorkerHarness] = None) -> None:
         self.requested_workers = workers
-        self.harness = harness if harness is not None else SweepHarness()
+        self.harness = harness if harness is not None else WorkerHarness()
         self.mode: Optional[str] = None
         self.slots: List[_ServiceSlot] = []
         self.crashes: List[Dict[str, Any]] = []
@@ -169,7 +167,8 @@ class AnalysisWorkerPool:
     # -- lifecycle -----------------------------------------------------
 
     def _activate(self) -> None:
-        count = resolve_workers(self.requested_workers) \
+        count = resolve_workers(self.requested_workers,
+                                self.harness.cpu_count()) \
             if self.requested_workers != 0 else 0
         if count < 1 or not self.harness.available():
             self.mode = "serial-fallback"
@@ -257,7 +256,7 @@ class AnalysisWorkerPool:
         """One poll round: drain ready replies, detect dead workers.
 
         Blocks at most one
-        :meth:`~repro.symbolic.parallel.SweepHarness.poll_interval`;
+        :meth:`~repro.workers.WorkerHarness.poll_interval`;
         returns the events that became available (possibly none).
         Callers loop while they have unresolved requests.
         """

@@ -57,7 +57,7 @@ from ..analysis.result import AnalysisResult
 from ..analysis.spec import AnalysisSpec
 from ..petri.net import PetriNet
 from ..petri.parser import dumps
-from ..symbolic.parallel import SweepHarness
+from ..workers import WorkerHarness
 from .cache import CacheLookup, ResultCache, cache_key
 from .pool import AnalysisWorkerPool
 
@@ -205,7 +205,7 @@ class AnalysisService:
                  cache_dir: Optional[str] = None,
                  workers: "int | str" = "auto",
                  checkpoint_dir: Optional[str] = None,
-                 harness: Optional[SweepHarness] = None) -> None:
+                 harness: Optional[WorkerHarness] = None) -> None:
         self.cache = cache if cache is not None \
             else ResultCache(directory=cache_dir)
         self.checkpoint_dir = checkpoint_dir

@@ -158,6 +158,38 @@ class TestForwardCompatibility:
         assert any("unknown spec fields" in record.message
                    for record in caplog.records)
 
+    def test_payload_with_retired_workers_field_loads(self, caplog):
+        """Payloads written before the ``workers`` spec field was
+        removed carry ``"workers": null``; they load silently and keep
+        their cache/checkpoint identity."""
+        import logging
+        result = sample_result()
+        payload = json.loads(json.dumps(result.to_dict()))
+        payload["spec"]["workers"] = None
+        with caplog.at_level(logging.WARNING, "repro.analysis.spec"):
+            restored = AnalysisResult.from_dict(payload)
+        assert not caplog.records
+        assert restored.spec == result.spec
+        assert restored.spec.semantic_fingerprint() == "d61a8e3e3271d7ab"
+
+    def test_payload_with_an_explicit_workers_count_loads(self, caplog):
+        """Before the removal a portfolio spec could carry a pool size
+        (``"workers": 2``).  Such a cached result still loads: the
+        field is dropped like any unknown one, with a warning, and the
+        spec keeps the fingerprint that build wrote."""
+        import logging
+        result = sample_result(spec=AnalysisSpec(backend="portfolio"),
+                               engine="portfolio")
+        payload = json.loads(json.dumps(result.to_dict()))
+        payload["spec"]["workers"] = 2
+        with caplog.at_level(logging.WARNING, "repro.analysis.spec"):
+            restored = AnalysisResult.from_dict(payload)
+        assert any("unknown spec fields" in record.message
+                   and "workers" in record.message
+                   for record in caplog.records)
+        assert restored.spec == AnalysisSpec(backend="portfolio")
+        assert restored.spec.semantic_fingerprint() == "e8c589da453b9cd3"
+
     def test_major_mismatch_still_rejected(self):
         payload = sample_result().to_dict()
         payload["schema"] = SCHEMA_VERSION + 1

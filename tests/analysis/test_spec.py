@@ -250,6 +250,79 @@ class TestSerialization:
             spec.replace(form="functional")
 
 
+class TestRemovedWorkersField:
+    """The ``workers`` field and the multiprocess partitioned engine
+    are gone; identities written before the removal must still match."""
+
+    # semantic_fingerprint() values the build with the field wrote.
+    PARENT_FINGERPRINTS = [
+        (AnalysisSpec(), "d7b8967606abd9af"),
+        (AnalysisSpec(backend="zdd"), "e269d4c0f6edbfc6"),
+        (AnalysisSpec(form="relational", engine="chained"),
+         "d61a8e3e3271d7ab"),
+        (AnalysisSpec(form="relational"), "1dfd5f449f324cf9"),
+        (AnalysisSpec(form="relational", engine="partitioned"),
+         "554a97e7448e49a1"),
+        (AnalysisSpec(form="relational", engine="monolithic"),
+         "813eee88e6cd2d0e"),
+        (AnalysisSpec(backend="zdd", form="relational", engine="chained"),
+         "51e27c613abba3f0"),
+        (AnalysisSpec(backend="zdd", form="relational",
+                      engine="partitioned"), "7b4791a507602e74"),
+        (AnalysisSpec(backend="portfolio"), "e8c589da453b9cd3"),
+        (AnalysisSpec(backend="portfolio",
+                      portfolio_members=("bdd-functional", "zdd-chained")),
+         "27842282ffa2e463"),
+        (AnalysisSpec(scheme="dense", form="relational", engine="chained",
+                      cluster_size=3), "024270aa2afe7d84"),
+        (AnalysisSpec(k_bound=3), "7a0a7e7b05ced31d"),
+    ]
+
+    @pytest.mark.parametrize("spec,fingerprint", PARENT_FINGERPRINTS)
+    def test_fingerprints_match_the_build_with_the_field(self, spec,
+                                                         fingerprint):
+        assert spec.semantic_fingerprint() == fingerprint
+
+    def test_parent_default_workers_value_is_dropped_silently(
+            self, caplog):
+        import logging
+        payload = dict(AnalysisSpec().to_dict(), workers=None)
+        with caplog.at_level(logging.WARNING, "repro.analysis.spec"):
+            assert AnalysisSpec.from_dict(payload) == AnalysisSpec()
+        assert not caplog.records
+
+    def test_workers_value_is_an_unknown_field(self):
+        with pytest.raises(SpecError, match="workers"):
+            AnalysisSpec.from_dict({"workers": 2})
+        with pytest.raises(TypeError):
+            AnalysisSpec(workers=2)
+
+    @pytest.mark.parametrize("backend", ["bdd", "zdd"])
+    def test_removed_engine_is_a_spec_error(self, backend):
+        with pytest.raises(SpecError, match="unknown engine"):
+            AnalysisSpec(backend=backend, form="relational",
+                         engine="partitioned-mp")
+
+    def test_removed_portfolio_member_is_a_spec_error(self):
+        with pytest.raises(SpecError, match="unknown portfolio member"):
+            AnalysisSpec(backend="portfolio",
+                         portfolio_members=("bdd-partitioned-mp",))
+
+    def test_analyze_has_no_workers_flag(self):
+        with pytest.raises(SystemExit):
+            _build_parser().parse_args(
+                ["analyze", "x.pnet", "--workers", "2"])
+
+    @pytest.mark.parametrize("backend", ["bdd", "zdd"])
+    def test_analyze_rejects_the_removed_image_engine(self, backend,
+                                                      capsys):
+        with pytest.raises(SystemExit):
+            _build_parser().parse_args(
+                ["analyze", "x.pnet", "--engine", backend,
+                 "--image", "partitioned-mp"])
+        assert "invalid choice: 'partitioned-mp'" in capsys.readouterr().err
+
+
 class TestFromArgs:
     def test_full_relational_namespace(self):
         args = _build_parser().parse_args(
@@ -300,7 +373,7 @@ class TestFieldClassification:
     EXPECTED_NONSEMANTIC = {
         "checkpoint_path", "checkpoint_every", "checkpoint_every_seconds",
         "resume", "node_budget", "deadline", "max_iterations",
-        "timeout", "member_timeout", "workers",
+        "timeout", "member_timeout",
     }
 
     def test_every_field_classified_exactly_once(self):
@@ -319,9 +392,9 @@ class TestFieldClassification:
             checkpoint_path="/tmp/x.ckpt", checkpoint_every=7,
             checkpoint_every_seconds=1.5, resume=True,
             node_budget=10_000, deadline=3.0, max_iterations=5,
-            workers=4, form="relational", engine="partitioned-mp")
+            form="relational", engine="partitioned")
         # Same semantics modulo the relational switch...
-        rel = AnalysisSpec(form="relational", engine="partitioned-mp")
+        rel = AnalysisSpec(form="relational", engine="partitioned")
         assert varied.semantic_fingerprint() == rel.semantic_fingerprint()
         # ...and the durability knobs alone change nothing.
         assert base.semantic_fingerprint() == AnalysisSpec(

@@ -115,6 +115,57 @@ class TestBatch:
         assert [r["id"] for r in responses] \
             == ["ok", "line-1", "nosuch", "badspec"]
 
+    def test_removed_spec_inputs_are_structured_errors(self, tmp_path):
+        """The retired ``workers`` spec field and the retired
+        multiprocess engine arrive as per-request SpecErrors; the rest
+        of the batch still completes."""
+        requests = write_requests(tmp_path, [
+            {"id": "before", "family": "figure1"},
+            {"id": "workers", "family": "figure1",
+             "spec": {"workers": 2}},
+            {"id": "engine", "family": "figure1",
+             "spec": {"form": "relational", "engine": "partitioned-mp"}},
+            {"id": "after", "family": "phil", "n": 3},
+        ])
+        out = tmp_path / "responses.jsonl"
+        assert main(["batch", requests, "-o", str(out),
+                     "--workers", "0"]) == 1
+        responses = {r["id"]: r for r in read_responses(out)}
+        assert set(responses) == {"before", "workers", "engine", "after"}
+        for request_id in ("workers", "engine"):
+            assert responses[request_id]["status"] == "error"
+            assert responses[request_id]["error"]["kind"] == "SpecError"
+        assert "workers" in responses["workers"]["error"]["detail"]
+        assert responses["before"]["status"] == "ok"
+        assert responses["after"]["status"] == "ok"
+        assert responses["after"]["result"]["markings"] == 100
+
+    def test_removed_zdd_engine_and_portfolio_member_are_spec_errors(
+            self, tmp_path):
+        """The retired engine is rejected on the ZDD backend too, and a
+        portfolio naming the retired member is rejected rather than
+        raced without it."""
+        requests = write_requests(tmp_path, [
+            {"id": "zdd", "family": "figure1",
+             "spec": {"backend": "zdd", "form": "relational",
+                      "engine": "partitioned-mp"}},
+            {"id": "member", "family": "figure1",
+             "spec": {"backend": "portfolio",
+                      "portfolio_members": ["bdd-partitioned-mp"]}},
+            {"id": "ok", "family": "figure1"},
+        ])
+        out = tmp_path / "responses.jsonl"
+        assert main(["batch", requests, "-o", str(out),
+                     "--workers", "0"]) == 1
+        responses = {r["id"]: r for r in read_responses(out)}
+        assert responses["zdd"]["error"]["kind"] == "SpecError"
+        assert "partitioned-mp" in responses["zdd"]["error"]["detail"]
+        assert responses["member"]["error"]["kind"] == "SpecError"
+        assert "bdd-partitioned-mp" in \
+            responses["member"]["error"]["detail"]
+        assert responses["ok"]["status"] == "ok"
+        assert responses["ok"]["result"]["markings"] == 8
+
     def test_missing_net_file_error_keeps_request_id(self, tmp_path):
         requests = write_requests(
             tmp_path, [{"id": "lost", "net": "no/such/net.pnet"}])
@@ -181,3 +232,19 @@ class TestServe:
         assert code == 1
         assert responses[0]["status"] == "ok"
         assert responses[1]["status"] == "error"
+
+    def test_serve_rejects_removed_spec_inputs_per_line(self, monkeypatch,
+                                                        capsys):
+        code, responses, err = self.run_serve(
+            monkeypatch, capsys,
+            [{"id": "a", "family": "figure1", "spec": {"workers": 2}},
+             {"id": "b", "family": "figure1",
+              "spec": {"form": "relational",
+                       "engine": "partitioned-mp"}},
+             {"id": "c", "family": "figure1"}])
+        assert code == 1
+        assert [r["id"] for r in responses] == ["a", "b", "c"]
+        assert [r["status"] for r in responses] == ["error", "error", "ok"]
+        assert {r["error"]["kind"] for r in responses[:2]} == {"SpecError"}
+        assert responses[2]["result"]["markings"] == 8
+        assert "2 failed" in err

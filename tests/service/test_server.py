@@ -15,10 +15,10 @@ import pytest
 
 from repro.analysis import AnalysisSpec, analyze
 from repro.service import AnalysisService, ResultCache, ServiceError
-from repro.symbolic.parallel import SweepHarness
+from repro.workers import WorkerHarness
 
 
-class _NoWorkersHarness(SweepHarness):
+class _NoWorkersHarness(WorkerHarness):
     def available(self):
         return False
 
@@ -165,6 +165,22 @@ def test_unavailable_pool_degrades_to_serial(baselines):
             semantic(payloads[("figure1", "default")])
         assert service.stats()["serial_solves"] == 1
         assert service.stats()["pool"]["mode"] == "serial-fallback"
+
+
+def test_portfolio_request_in_pool_worker_races_serially(baselines):
+    """A pool worker is daemonic and cannot have children, so a
+    portfolio request solved there takes the race's serial mode: the
+    first member that succeeds, in declaration order, wins."""
+    nets, _, _ = baselines
+    spec = AnalysisSpec(backend="portfolio")
+    with AnalysisService(workers=1) as service:
+        handle = service.submit(nets["figure1"], spec)
+        result = handle.result()
+        assert handle.info["mode"] == "pool"
+    race = result.extras["portfolio"]
+    assert race["mode"] == "serial"
+    assert race["winner"] == spec.resolved_members[0]
+    assert result.markings == analyze(nets["figure1"]).markings
 
 
 # ---------------------------------------------------------------------------

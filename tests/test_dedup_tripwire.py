@@ -4,7 +4,8 @@ PR 3 grew ``symbolic/zdd_relational.py`` into a near line-for-line copy
 of ``symbolic/relational.py``'s clustering/partition/sweep machinery;
 PR 5 collapsed both onto :mod:`repro.symbolic.partition`.  This test
 fails CI if either encoding shim regrows its own copy of that logic —
-the one place it may live is the shared layer.
+the one place it may live is the shared layer.  The same holds for the
+worker-process primitives, which live once in :mod:`repro.workers`.
 """
 
 import re
@@ -102,3 +103,38 @@ def test_negation_lives_once_as_a_bit_flip():
             f"{path.relative_to(SRC)} regrew a recursive negation "
             f"({match.group(1)}); negation is an O(1) bit flip in "
             f"BDD.apply_not")
+
+
+# Process-harness pieces that must be defined only in repro/workers.py:
+# every worker pool spawns, polls and reaps through that one module.
+HARNESS_ONLY = {
+    "multiprocessing.get_context": re.compile(r"\bget_context\b"),
+    "def reap_processes": re.compile(r"^\s*def\s+reap_processes\b",
+                                     re.MULTILINE),
+    "POLL_INTERVAL =": re.compile(r"^\s*POLL_INTERVAL\s*[:=]",
+                                  re.MULTILINE),
+    "JOIN_TIMEOUT =": re.compile(r"^\s*JOIN_TIMEOUT\s*[:=]",
+                                 re.MULTILINE),
+    "DEAD_WORKER_GRACE_POLLS =": re.compile(
+        r"^\s*DEAD_WORKER_GRACE_POLLS\s*[:=]", re.MULTILINE),
+}
+
+
+def test_process_harness_lives_once_in_workers():
+    """A module that regrows its own start-method context, reaper or
+    poll/grace/join constants is a hand-rolled worker harness; extend
+    repro/workers.py instead."""
+    home = SRC / "workers.py"
+    text = home.read_text()
+    missing = sorted(label for label, pattern in HARNESS_ONLY.items()
+                     if not pattern.search(text))
+    assert not missing, f"repro/workers.py lost {missing}"
+    for path in sorted(SRC.rglob("*.py")):
+        if path == home:
+            continue
+        text = path.read_text()
+        copies = sorted(label for label, pattern in HARNESS_ONLY.items()
+                        if pattern.search(text))
+        assert not copies, (
+            f"{path.relative_to(SRC)} regrew process-harness pieces "
+            f"{copies}; use repro/workers.py instead")
