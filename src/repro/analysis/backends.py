@@ -423,7 +423,8 @@ class _BddFunctionalSession(SolverSession):
             reachable=self.reached,
             extras={"strategy": self.spec.strategy,
                     "chain_order": self.spec.chain_order,
-                    "use_toggle": self.spec.use_toggle})
+                    "use_toggle": self.spec.use_toggle,
+                    "reorder_seconds": symnet.bdd.reorder_seconds})
 
 
 class BddFunctionalBackend(SolverBackend):
@@ -477,7 +478,8 @@ class _BddRelationalSession(SolverSession):
             reachable=self.reached,
             extras={"cluster_size": self.spec.resolved_cluster_size,
                     "ae_calls": bdd.ae_calls,
-                    "ae_cache_hits": bdd.ae_cache_hits})
+                    "ae_cache_hits": bdd.ae_cache_hits,
+                    "reorder_seconds": bdd.reorder_seconds})
 
 
 class BddRelationalBackend(SolverBackend):
@@ -565,7 +567,8 @@ class _ZddSession(SolverSession):
             reachable=self.reached,
             extras={"total_nodes": self.zdd.total_nodes(),
                     "ae_calls": self.zdd.ae_calls,
-                    "ae_cache_hits": self.zdd.ae_cache_hits})
+                    "ae_cache_hits": self.zdd.ae_cache_hits,
+                    "reorder_seconds": self.zdd.reorder_seconds})
 
 
 class ZddBackend(SolverBackend):
@@ -613,7 +616,8 @@ class _KBoundedSession(SolverSession):
             final_nodes=self.reached.size(),
             reorder_count=knet.bdd.reorder_count,
             reachable=self.reached,
-            extras={"bound": knet.bound, "bits_per_place": knet.bits})
+            extras={"bound": knet.bound, "bits_per_place": knet.bits,
+                    "reorder_seconds": knet.bdd.reorder_seconds})
 
 
 class KBoundedBackend(SolverBackend):

@@ -16,10 +16,9 @@ Public entry points:
   BDD manager.
 """
 
-from ..dd import DDError, DDManager
+from ..dd import DDError, DDManager, sift, sift_to_convergence
 from .function import Function, cube, false, true, variable
 from .manager import BDD, BDDError, ONE, ZERO
-from .reorder import sift, sift_to_convergence
 from .zdd import BASE, EMPTY, ZDD, ZDDError
 
 __all__ = [

@@ -129,14 +129,6 @@ class BDD(DDManager):
     def _is_reduced(self, low: int, high: int) -> bool:
         return low != high
 
-    def _swap_cofactors(self, child: int, lower: int) -> Tuple[int, int]:
-        node = child >> 1
-        if self._var[node] == lower:
-            c = child & 1
-            return self._low[node] ^ c, self._high[node] ^ c
-        # Independent of the lower variable: both cofactors are the child.
-        return child, child
-
     def _level(self, u: int) -> int:
         """Level of the node behind edge ``u`` (terminals at bottom)."""
         var = self._var[u >> 1]

@@ -77,12 +77,6 @@ class ZDD(DDManager):
     def _is_reduced(self, low: int, high: int) -> bool:
         return high != EMPTY
 
-    def _swap_cofactors(self, child: int, lower: int) -> Tuple[int, int]:
-        if self._var[child] == lower:
-            return self._low[child], self._high[child]
-        # Zero-suppression: a skipped element is absent from every set.
-        return child, EMPTY
-
     # ------------------------------------------------------------------
     # Bookkeeping
     # ------------------------------------------------------------------

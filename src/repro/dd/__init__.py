@@ -15,9 +15,12 @@ diagram flavour in the project:
   :class:`repro.bdd.zdd.ZDDError` both subclass it).
 
 Subclasses supply only what genuinely differs between diagram kinds:
-the reduction rule (:meth:`DDManager._mk`), the cofactor expansion used
-by the in-place level swap (:meth:`DDManager._swap_cofactors`) and the
-operation algebra itself.  :class:`repro.bdd.manager.BDD` (dense
+the reduction rule (:meth:`DDManager._mk`), the edge representation
+(``_edge_shift``) and the operation algebra itself.  The in-place level
+swap is the one place the kernel knows both reduction rules: it runs a
+fused loop per edge flavour (complement edges for the BDD, plain
+zero-suppressed edges for the ZDD) rather than calling back into the
+subclass for every node it rewrites.  :class:`repro.bdd.manager.BDD` (dense
 boolean functions) and :class:`repro.bdd.zdd.ZDD` (zero-suppressed set
 families) are the two instantiations — which is how the ZDD manager
 gets reference counting, garbage collection, sifting and reorder hooks

@@ -19,15 +19,18 @@ lifecycle machinery:
   collection and dynamic sifting at traversal safe points.
 
 What a node *means* — and therefore the reduction rule applied by
-:meth:`DDManager._mk` and the cofactor expansion used when two adjacent
-levels are exchanged (:meth:`DDManager._swap_cofactors`) — is the
-subclass's business:
+:meth:`DDManager._mk` — is the subclass's business.  The adjacent-level
+swap needs the same rule and the cofactor split against the lower
+variable; it is the reorder hot loop, so the kernel carries one fused
+loop per edge flavour instead of calling back into the subclass per
+node:
 
 ========================  =========================  =====================
 hook                      BDD (boolean functions)    ZDD (set families)
 ========================  =========================  =====================
 ``_mk`` reduction         ``low == high -> low``     ``high == 0 -> low``
-``_swap_cofactors`` else  ``(child, child)``         ``(child, EMPTY)``
+swap kernel               ``_swap_complement``       ``_swap_zero_suppressed``
+swap split, other child   ``(child, child)``         ``(child, EMPTY)``
 terminals                 ``ZERO`` / ``ONE``         ``EMPTY`` / ``BASE``
 ``_edge_shift``           ``1`` (complement edges)   ``0`` (plain ids)
 ========================  =========================  =====================
@@ -215,6 +218,9 @@ class DDManager:
         self.gc_growth_floor: int = 8_192
         self._gc_baseline: int = self.gc_growth_floor
         self.reorder_count = 0
+        # Wall-clock seconds spent in the sifting passes this manager
+        # runs at its own safe points (trigger and budget ladder).
+        self.reorder_seconds = 0.0
         self.gc_count = 0
         self.peak_live_nodes = 0
         # Callbacks invoked whenever the variable order changes — after
@@ -251,17 +257,6 @@ class DDManager:
 
     def _mk(self, var: int, low: int, high: int) -> int:
         """Find-or-create with the subclass's reduction rule applied."""
-        raise NotImplementedError
-
-    def _swap_cofactors(self, child: int, lower: int) -> Tuple[int, int]:
-        """Cofactors of ``child`` w.r.t. ``lower`` during a level swap.
-
-        Returns ``(without, with)`` — the child's decomposition against
-        the lower variable.  For a child labeled ``lower`` both managers
-        return its ``(low, high)``; for an unlabeled child the BDD
-        duplicates it (independence) while the ZDD pairs it with
-        ``EMPTY`` (zero-suppression: the element is absent).
-        """
         raise NotImplementedError
 
     def _is_reduced(self, low: int, high: int) -> bool:
@@ -526,27 +521,33 @@ class DDManager:
                       * self.reorder_growth):
                     trigger = True
         if trigger:
-            self.collect_garbage()
-            from .reorder import sift
-            sift(self, groups=self.sift_groups)
+            # The sifting pass starts with a garbage collection.
+            self._timed_sift()
             self.reorder_threshold = max(self.reorder_threshold,
                                          2 * self.live_nodes())
             self._reorder_baseline = self.live_nodes()
             self._gc_baseline = max(self._reorder_baseline,
                                     self.gc_growth_floor)
-            self.reorder_count += 1
         elif (self.gc_growth is not None
               and live >= self.gc_growth_floor
               and live > self._gc_baseline * self.gc_growth):
             # Doubling-style collection: dead intermediates are swept
             # before the table doubles again, so peak occupancy tracks
             # a constant factor of the live data instead of the total
-            # allocation count.  (The reorder branch above already
-            # collected.)
+            # allocation count.  (The reorder branch above collected
+            # inside the sifting pass.)
             self.collect_garbage()
             self._gc_baseline = max(self.live_nodes(),
                                     self.gc_growth_floor)
         self._enforce_budget()
+
+    def _timed_sift(self) -> None:
+        """One sifting pass at a safe point, counted and timed."""
+        from .reorder import sift
+        started = time.perf_counter()
+        sift(self, groups=self.sift_groups)
+        self.reorder_seconds += time.perf_counter() - started
+        self.reorder_count += 1
 
     def _enforce_budget(self) -> None:
         """The degradation ladder behind :meth:`set_resource_budget`.
@@ -574,9 +575,7 @@ class DDManager:
         if self.live_nodes() <= self.node_budget:
             self.budget_gc_rescues += 1
             return
-        from .reorder import sift
-        sift(self, groups=self.sift_groups)
-        self.reorder_count += 1
+        self._timed_sift()
         live = self.live_nodes()
         if live <= self.node_budget:
             self.budget_reorder_rescues += 1
@@ -634,63 +633,277 @@ class DDManager:
     # Reordering (Rudell's adjacent-variable swap)
     # ------------------------------------------------------------------
 
-    def swap_levels(self, level: int) -> None:
+    def swap_levels(self, level: int) -> int:
         """Exchange the variables at ``level`` and ``level + 1`` in place.
 
         Every node labeled with the upper variable that references the
         lower variable is rewritten in place, preserving node ids (and
-        therefore external references).  The cofactor expansion against
-        the lower variable — the only place the BDD and ZDD semantics
-        differ — is delegated to :meth:`_swap_cofactors`.  Must be
-        called at a safe point; the operation caches are cleared.
+        therefore external references).  Must be called at a safe
+        point; the operation caches are cleared.  Returns the change in
+        :meth:`live_nodes` the swap caused.
         """
         if not 0 <= level < len(self._level2var) - 1:
             raise self._error_class(f"cannot swap level {level}")
         self.clear_caches()
-        shift = self._edge_shift
+        return self._swap(level)
+
+    def _swap(self, level: int) -> int:
+        """:meth:`swap_levels` without the range check and cache clear.
+
+        Sifting and :meth:`set_order` clear the caches once per pass
+        (swaps never fill them), then call this for every swap.
+        """
         upper = self._level2var[level]
         lower = self._level2var[level + 1]
-        upper_table = self._unique[upper]
-
-        for key, node in list(upper_table.items()):
-            f0, f1 = key >> _PACK, key & ((1 << _PACK) - 1)
-            if (self._var[f0 >> shift] != lower
-                    and self._var[f1 >> shift] != lower):
-                continue
-            f00, f01 = self._swap_cofactors(f0, lower)
-            f10, f11 = self._swap_cofactors(f1, lower)
-            new_low = self._mk(upper, f00, f10)
-            new_high = self._mk(upper, f01, f11)
-            # The rewritten node keeps its id, so its new else edge must
-            # be regular in complement mode: f00/f10 derive from stored
-            # (hence regular) else edges, so _mk cannot have had to
-            # complement-normalise here.  Verify rather than trust.
-            if shift and (new_low & 1):
-                raise self._error_class(
-                    "canonical-form violation during swap: "
-                    "complemented else edge")
-            self._ref[new_low >> shift] += 1
-            self._ref[new_high >> shift] += 1
-            del upper_table[key]
-            if not self._is_reduced(new_low, new_high):
-                raise self._error_class(
-                    "reduction violation during swap")
-            self._var[node] = lower
-            self._low[node] = new_low
-            self._high[node] = new_high
-            new_key = (new_low << _PACK) | new_high
-            existing = self._unique[lower].get(new_key)
-            if existing is not None:
-                raise self._error_class("canonicity violation during swap")
-            self._unique[lower][new_key] = node
-            self._deref_cascade(f0)
-            self._deref_cascade(f1)
-
+        before = len(self._var) - len(self._free)
+        if self.complement_edges:
+            self._swap_complement(upper, lower)
+        else:
+            self._swap_zero_suppressed(upper, lower)
         self._level2var[level] = lower
         self._level2var[level + 1] = upper
         self._var2level[lower] = level
         self._var2level[upper] = level + 1
         self._notify_reorder()
+        # Every allocated slot off the free list is in a unique table.
+        return len(self._var) - len(self._free) - before
+
+    # The two swap kernels below are one loop each, with the cofactor
+    # split, the reduction rule, complement normalisation, find-or-create
+    # and the cascading free inlined: a swap rewrites thousands of nodes
+    # and a method call per step used to cost more than the work.  They
+    # allocate and free node ids in exactly the order of the recursive
+    # ``_mk`` / ``_deref_cascade`` formulation (new else child, then new
+    # then child; frees depth-first, low before high), so node ids — and
+    # with them every later table order and sifting decision — are the
+    # same as with that formulation.
+
+    def _swap_complement(self, upper: int, lower: int) -> None:
+        """Rewrite the ``upper`` nodes over ``lower`` (complement edges,
+        boolean reduction ``low == high -> low``)."""
+        var_, low_, high_, ref = self._var, self._low, self._high, self._ref
+        free = self._free
+        unique = self._unique
+        upper_table = unique[upper]
+        lower_table = unique[lower]
+        mask = (1 << _PACK) - 1
+        for key, node in list(upper_table.items()):
+            f0 = key >> _PACK
+            f1 = key & mask
+            n0 = f0 >> 1
+            n1 = f1 >> 1
+            # Cofactors against the lower variable: a child labeled
+            # ``lower`` splits (complement pushed down), any other child
+            # is independent of it and serves as both cofactors.
+            if var_[n0] == lower:
+                c = f0 & 1
+                f00 = low_[n0] ^ c
+                f01 = high_[n0] ^ c
+                if var_[n1] == lower:
+                    c = f1 & 1
+                    f10 = low_[n1] ^ c
+                    f11 = high_[n1] ^ c
+                else:
+                    f10 = f11 = f1
+            elif var_[n1] == lower:
+                f00 = f01 = f0
+                c = f1 & 1
+                f10 = low_[n1] ^ c
+                f11 = high_[n1] ^ c
+            else:
+                continue
+            # new_low = _mk(upper, f00, f10), then new_high likewise.
+            if f00 == f10:
+                new_low = f00
+            else:
+                c = f00 & 1
+                a = f00 ^ c
+                b = f10 ^ c
+                k = (a << _PACK) | b
+                n = upper_table.get(k)
+                if n is None:
+                    if free:
+                        n = free.pop()
+                        var_[n] = upper
+                        low_[n] = a
+                        high_[n] = b
+                        ref[n] = 0
+                    else:
+                        n = len(var_)
+                        var_.append(upper)
+                        low_.append(a)
+                        high_.append(b)
+                        ref.append(0)
+                    upper_table[k] = n
+                    ref[a >> 1] += 1
+                    ref[b >> 1] += 1
+                new_low = (n << 1) | c
+            if f01 == f11:
+                new_high = f01
+            else:
+                c = f01 & 1
+                a = f01 ^ c
+                b = f11 ^ c
+                k = (a << _PACK) | b
+                n = upper_table.get(k)
+                if n is None:
+                    if free:
+                        n = free.pop()
+                        var_[n] = upper
+                        low_[n] = a
+                        high_[n] = b
+                        ref[n] = 0
+                    else:
+                        n = len(var_)
+                        var_.append(upper)
+                        low_.append(a)
+                        high_.append(b)
+                        ref.append(0)
+                    upper_table[k] = n
+                    ref[a >> 1] += 1
+                    ref[b >> 1] += 1
+                new_high = (n << 1) | c
+            # The rewritten node keeps its id, so its new else edge must
+            # be regular: f00/f10 derive from stored (hence regular)
+            # else edges, so no normalisation can have happened above.
+            # Verify rather than trust.
+            if new_low & 1:
+                raise self._error_class(
+                    "canonical-form violation during swap: "
+                    "complemented else edge")
+            ref[new_low >> 1] += 1
+            ref[new_high >> 1] += 1
+            del upper_table[key]
+            if new_low == new_high:
+                raise self._error_class("reduction violation during swap")
+            var_[node] = lower
+            low_[node] = new_low
+            high_[node] = new_high
+            k = (new_low << _PACK) | new_high
+            if k in lower_table:
+                raise self._error_class("canonicity violation during swap")
+            lower_table[k] = node
+            # Release the old children: depth-first, low before high.
+            stack = [f1, f0]
+            while stack:
+                n = stack.pop() >> 1
+                r = ref[n] - 1
+                ref[n] = r
+                if r or n < 2:
+                    continue
+                a = low_[n]
+                b = high_[n]
+                del unique[var_[n]][(a << _PACK) | b]
+                var_[n] = -1
+                low_[n] = -1
+                high_[n] = -1
+                free.append(n)
+                stack.append(b)
+                stack.append(a)
+
+    def _swap_zero_suppressed(self, upper: int, lower: int) -> None:
+        """Rewrite the ``upper`` nodes over ``lower`` (plain edges,
+        zero-suppression ``high == EMPTY -> low``)."""
+        var_, low_, high_, ref = self._var, self._low, self._high, self._ref
+        free = self._free
+        unique = self._unique
+        upper_table = unique[upper]
+        lower_table = unique[lower]
+        mask = (1 << _PACK) - 1
+        for key, node in list(upper_table.items()):
+            f0 = key >> _PACK
+            f1 = key & mask
+            # Cofactors against the lower element: a child labeled
+            # ``lower`` splits; any other child never contains it, so
+            # its "with" cofactor is the empty family (0).
+            if var_[f0] == lower:
+                f00 = low_[f0]
+                f01 = high_[f0]
+                if var_[f1] == lower:
+                    f10 = low_[f1]
+                    f11 = high_[f1]
+                else:
+                    f10 = f1
+                    f11 = 0
+            elif var_[f1] == lower:
+                f00 = f0
+                f01 = 0
+                f10 = low_[f1]
+                f11 = high_[f1]
+            else:
+                continue
+            # new_low = _mk(upper, f00, f10), then new_high likewise.
+            if f10 == 0:
+                new_low = f00
+            else:
+                k = (f00 << _PACK) | f10
+                new_low = upper_table.get(k)
+                if new_low is None:
+                    if free:
+                        new_low = free.pop()
+                        var_[new_low] = upper
+                        low_[new_low] = f00
+                        high_[new_low] = f10
+                        ref[new_low] = 0
+                    else:
+                        new_low = len(var_)
+                        var_.append(upper)
+                        low_.append(f00)
+                        high_.append(f10)
+                        ref.append(0)
+                    upper_table[k] = new_low
+                    ref[f00] += 1
+                    ref[f10] += 1
+            if f11 == 0:
+                new_high = f01
+            else:
+                k = (f01 << _PACK) | f11
+                new_high = upper_table.get(k)
+                if new_high is None:
+                    if free:
+                        new_high = free.pop()
+                        var_[new_high] = upper
+                        low_[new_high] = f01
+                        high_[new_high] = f11
+                        ref[new_high] = 0
+                    else:
+                        new_high = len(var_)
+                        var_.append(upper)
+                        low_.append(f01)
+                        high_.append(f11)
+                        ref.append(0)
+                    upper_table[k] = new_high
+                    ref[f01] += 1
+                    ref[f11] += 1
+            ref[new_low] += 1
+            ref[new_high] += 1
+            del upper_table[key]
+            if new_high == 0:
+                raise self._error_class("reduction violation during swap")
+            var_[node] = lower
+            low_[node] = new_low
+            high_[node] = new_high
+            k = (new_low << _PACK) | new_high
+            if k in lower_table:
+                raise self._error_class("canonicity violation during swap")
+            lower_table[k] = node
+            # Release the old children: depth-first, low before high.
+            stack = [f1, f0]
+            while stack:
+                n = stack.pop()
+                r = ref[n] - 1
+                ref[n] = r
+                if r or n < 2:
+                    continue
+                a = low_[n]
+                b = high_[n]
+                del unique[var_[n]][(a << _PACK) | b]
+                var_[n] = -1
+                low_[n] = -1
+                high_[n] = -1
+                free.append(n)
+                stack.append(b)
+                stack.append(a)
 
     def set_order(self, names_or_vars: Iterable) -> None:
         """Reorder variables to the given top-to-bottom sequence."""
@@ -705,7 +918,7 @@ class DDManager:
             for level, var in enumerate(target):
                 current = self._var2level[var]
                 while current > level:
-                    self.swap_levels(current - 1)
+                    self._swap(current - 1)
                     current -= 1
 
     # ------------------------------------------------------------------

@@ -30,6 +30,12 @@ def sift(manager: DDManager, max_growth: float = 1.2,
     A direction is abandoned when the total live node count exceeds
     ``max_growth`` times the size when the variable started moving.
 
+    The pass starts with a garbage collection (which also clears the
+    operation caches; the swaps themselves never fill them) and then
+    follows the live-node count through the delta each swap returns
+    instead of re-counting the unique tables.  Every size a position is
+    judged by is also folded into ``peak_live_nodes``.
+
     Reorder hooks fire once per pass (not per swap), after the pass.
 
     Parameters
@@ -64,18 +70,28 @@ def sift(manager: DDManager, max_growth: float = 1.2,
         if max_vars is not None:
             by_size = by_size[:max_vars]
 
+        size = manager.live_nodes()
         for var in by_size:
-            _sift_one(manager, var, max_growth)
-        return manager.live_nodes()
+            size = _sift_one(manager, var, max_growth, size)
+        return size
 
 
-def _sift_one(manager: DDManager, var: int, max_growth: float) -> None:
+def _observe(manager: DDManager, size: int) -> int:
+    """Fold a tracked size into the peak, as ``live_nodes()`` would."""
+    if size > manager.peak_live_nodes:
+        manager.peak_live_nodes = size
+    return size
+
+
+def _sift_one(manager: DDManager, var: int, max_growth: float,
+              size: int) -> int:
+    """Sift ``var`` from a manager holding ``size`` live nodes; returns
+    the live-node count at the best position, where ``var`` ends."""
     num = manager.num_vars
     start_level = manager.level_of_var(var)
-    start_size = manager.live_nodes()
-    limit = int(start_size * max_growth) + 1
+    limit = int(size * max_growth) + 1
 
-    best_size = start_size
+    best_size = size
     best_level = start_level
 
     # Choose the cheaper direction first: fewer levels to traverse.
@@ -83,52 +99,54 @@ def _sift_one(manager: DDManager, var: int, max_growth: float) -> None:
 
     level = start_level
     if go_down_first:
-        level, best_level, best_size = _walk_down(
-            manager, var, level, best_level, best_size, limit)
-        level, best_level, best_size = _walk_up(
-            manager, var, level, best_level, best_size, limit)
+        level, size, best_level, best_size = _walk_down(
+            manager, level, size, best_level, best_size, limit)
+        level, size, best_level, best_size = _walk_up(
+            manager, level, size, best_level, best_size, limit)
     else:
-        level, best_level, best_size = _walk_up(
-            manager, var, level, best_level, best_size, limit)
-        level, best_level, best_size = _walk_down(
-            manager, var, level, best_level, best_size, limit)
+        level, size, best_level, best_size = _walk_up(
+            manager, level, size, best_level, best_size, limit)
+        level, size, best_level, best_size = _walk_down(
+            manager, level, size, best_level, best_size, limit)
 
     # Return to the best position seen.
+    swap = manager._swap
     while level < best_level:
-        manager.swap_levels(level)
+        size += swap(level)
         level += 1
     while level > best_level:
-        manager.swap_levels(level - 1)
+        size += swap(level - 1)
         level -= 1
+    return size
 
 
-def _walk_down(manager: DDManager, var: int, level: int, best_level: int,
+def _walk_down(manager: DDManager, level: int, size: int, best_level: int,
                best_size: int, limit: int):
     num = manager.num_vars
+    swap = manager._swap
     while level < num - 1:
-        manager.swap_levels(level)
+        size = _observe(manager, size + swap(level))
         level += 1
-        size = manager.live_nodes()
         if size < best_size:
             best_size = size
             best_level = level
         if size > limit:
             break
-    return level, best_level, best_size
+    return level, size, best_level, best_size
 
 
-def _walk_up(manager: DDManager, var: int, level: int, best_level: int,
+def _walk_up(manager: DDManager, level: int, size: int, best_level: int,
              best_size: int, limit: int):
+    swap = manager._swap
     while level > 0:
-        manager.swap_levels(level - 1)
+        size = _observe(manager, size + swap(level - 1))
         level -= 1
-        size = manager.live_nodes()
         if size < best_size:
             best_size = size
             best_level = level
         if size > limit:
             break
-    return level, best_level, best_size
+    return level, size, best_level, best_size
 
 
 # ---------------------------------------------------------------------
@@ -169,45 +187,49 @@ def _normalize_blocks(manager: DDManager,
 
 
 def _exchange_blocks(manager: DDManager, blocks: List[List[int]],
-                     index: int) -> None:
+                     index: int) -> int:
     """Swap the adjacent blocks at ``index`` and ``index + 1`` (both stay
-    internally ordered) via adjacent-level swaps."""
+    internally ordered) via adjacent-level swaps.  Returns the change in
+    live nodes."""
     level = sum(len(b) for b in blocks[:index])
     upper, lower = len(blocks[index]), len(blocks[index + 1])
+    swap = manager._swap
+    delta = 0
     for passed in range(lower):
         for step in range(upper):
-            manager.swap_levels(level + passed + upper - 1 - step)
+            delta += swap(level + passed + upper - 1 - step)
     blocks[index], blocks[index + 1] = blocks[index + 1], blocks[index]
+    return delta
 
 
 def _sift_blocks(manager: DDManager, groups: Sequence[Tuple[int, ...]],
                  max_growth: float, max_vars: Optional[int]) -> int:
     blocks = _normalize_blocks(manager, groups)
+    size = manager.live_nodes()
     if len(blocks) < 2:
-        return manager.live_nodes()
+        return size
     by_size = sorted(blocks,
                      key=lambda b: -sum(len(manager._unique[v]) for v in b))
     if max_vars is not None:
         by_size = by_size[:max_vars]
     for block in by_size:
-        _sift_one_block(manager, blocks, block, max_growth)
-    return manager.live_nodes()
+        size = _sift_one_block(manager, blocks, block, max_growth, size)
+    return size
 
 
 def _sift_one_block(manager: DDManager, blocks: List[List[int]],
-                    block: List[int], max_growth: float) -> None:
+                    block: List[int], max_growth: float, size: int) -> int:
     last = len(blocks) - 1
     index = blocks.index(block)
-    size = manager.live_nodes()
     limit = int(size * max_growth) + 1
     best_size, best_index = size, index
 
     def walk(index: int, step: int, stop: int) -> int:
-        nonlocal best_size, best_index
+        nonlocal best_size, best_index, size
         while index != stop:
-            _exchange_blocks(manager, blocks, min(index, index + step))
+            size = _observe(manager, size + _exchange_blocks(
+                manager, blocks, min(index, index + step)))
             index += step
-            size = manager.live_nodes()
             if size < best_size:
                 best_size, best_index = size, index
             if size > limit:
@@ -221,11 +243,12 @@ def _sift_one_block(manager: DDManager, blocks: List[List[int]],
         index = walk(index, -1, 0)
         index = walk(index, +1, last)
     while index < best_index:
-        _exchange_blocks(manager, blocks, index)
+        size += _exchange_blocks(manager, blocks, index)
         index += 1
     while index > best_index:
-        _exchange_blocks(manager, blocks, index - 1)
+        size += _exchange_blocks(manager, blocks, index - 1)
         index -= 1
+    return size
 
 
 def sift_to_convergence(manager: DDManager, max_growth: float = 1.2,

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from repro.bdd import BDD, BDDError, sift, sift_to_convergence, variable
-from repro.bdd.reorder import random_order
+from repro.dd.reorder import random_order
 
 
 def build_interleaved_adder(bdd, a_names, b_names):
@@ -250,7 +250,7 @@ class TestGroupSifting:
         bdd.assert_consistent()
 
     def test_scattered_groups_are_gathered(self):
-        from repro.bdd.reorder import _normalize_blocks
+        from repro.dd.reorder import _normalize_blocks
         bdd = BDD(var_names=[f"v{i}" for i in range(6)])
         bdd.set_order([f"v{i}" for i in (0, 2, 4, 1, 3, 5)])
         blocks = _normalize_blocks(bdd, [(0, 1), (2, 3), (4, 5)])

@@ -360,3 +360,59 @@ class TestResourceBudgets:
             zdd.checkpoint()
         assert excinfo.value.kind == "nodes"
         assert zdd.count(node) == 5  # the family survived the ladder
+
+
+class TestSafePointReorder:
+    """A reorder fired at a safe point collects once and is timed."""
+
+    @staticmethod
+    def _pairs_bdd(**kwargs):
+        """OR of x_i & y_i under the bad order x0..x3, y0..y3, plus the
+        dead intermediates of building it."""
+        from repro.bdd import variable
+        n = 4
+        bdd = BDD(var_names=[f"x{i}" for i in range(n)]
+                  + [f"y{i}" for i in range(n)], **kwargs)
+        acc = variable(bdd, "x0") & variable(bdd, "y0")
+        for i in range(1, n):
+            acc = acc | (variable(bdd, f"x{i}") & variable(bdd, f"y{i}"))
+        return bdd, acc
+
+    def test_triggered_reorder_collects_exactly_once(self):
+        bdd, func = self._pairs_bdd(auto_reorder=True, reorder_threshold=1)
+        manual, manual_func = self._pairs_bdd()
+        assert bdd.live_nodes() == manual.live_nodes()
+        gc_before = bdd.gc_count
+        bdd.checkpoint()
+        assert bdd.reorder_count == 1
+        assert bdd.gc_count == gc_before + 1
+        # Same pass by hand, collecting first as the safe point used to.
+        manual.collect_garbage()
+        sift(manual)
+        assert bdd.order() == manual.order()
+        assert bdd.live_nodes() == manual.live_nodes()
+        assert bdd.peak_live_nodes == manual.peak_live_nodes
+        assert func.size() == manual_func.size()
+        assert bdd.order() != [f"x{i}" for i in range(4)] + [
+            f"y{i}" for i in range(4)]
+
+    def test_triggered_reorder_is_timed(self):
+        bdd, _ = self._pairs_bdd(auto_reorder=True, reorder_threshold=1)
+        assert bdd.reorder_seconds == 0.0
+        bdd.checkpoint()
+        assert bdd.reorder_seconds > 0.0
+
+    def test_explicit_sift_is_not_counted(self):
+        bdd, _ = self._pairs_bdd()
+        sift(bdd)
+        assert bdd.reorder_count == 0
+        assert bdd.reorder_seconds == 0.0
+
+    def test_budget_ladder_reorder_is_timed(self):
+        from repro.dd import ResourceBudgetExceeded
+        bdd, _ = self._pairs_bdd()
+        bdd.set_resource_budget(node_budget=2)
+        with pytest.raises(ResourceBudgetExceeded):
+            bdd.checkpoint()
+        assert bdd.reorder_count == 1
+        assert bdd.reorder_seconds > 0.0

@@ -73,6 +73,20 @@ def test_managers_share_the_kernel():
             f"{copies}; extend repro/dd/manager.py instead")
 
 
+def test_swap_kernel_has_no_per_node_hook():
+    """The level swap is one fused loop per edge flavour in
+    repro/dd/manager.py; no module may regrow the per-node cofactor
+    hook the swap used to call back into for every rewritten node."""
+    banned = re.compile(r"^\s*def\s+_swap_cofactors\b", re.MULTILINE)
+    for path in sorted(SRC.rglob("*.py")):
+        assert banned.search(path.read_text()) is None, (
+            f"{path.relative_to(SRC)} defines _swap_cofactors; the swap "
+            f"kernel lives in repro/dd/manager.py")
+    kernel = definitions_in(SRC / "dd" / "manager.py")
+    assert {"_swap", "_swap_complement",
+            "_swap_zero_suppressed"} <= kernel
+
+
 def test_complement_edge_split_is_pinned():
     """The complement-edge representation belongs to the BDD manager
     alone: edges are ``(node << 1) | bit`` there, while the ZDD keeps
